@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time-to-solution benchmark for the simulator, one workload per command.
 
-    python3 perfbench/run.py --workload incast16 --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload incast_figs --seed 1 --seconds 55 --trace 0
 
 Runs whole rounds of the workload for about ``--seconds`` seconds, each round
 in a fresh interpreter (``workloads.py``), and prints one JSON object as the
@@ -32,7 +32,7 @@ sys.path.insert(0, str(HERE))
 
 import checks  # noqa: E402
 
-WORKLOADS = ("incast16", "fattree_hadoop", "fluid_hadoop", "campaign_fig1")
+WORKLOADS = ("incast_figs", "hadoop_both")
 
 #: Hard ceiling on one command's run time; no round starts that could cross it.
 RUN_LIMIT_S = 170.0
@@ -78,7 +78,11 @@ def run_round(workload: str, seed: int, index: int, mode: str, timeout_s: float)
 
 
 def run_rounds(args) -> List[Dict[str, Any]]:
-    """Whole rounds until ``--seconds`` is used up (at least MIN_ROUNDS)."""
+    """Whole rounds for about ``--seconds`` (at least MIN_ROUNDS).
+
+    A round starts while its expected end is nearer to ``--seconds`` than the
+    end of the round before, so runs last ``--seconds`` on average.
+    """
     modes = ("plain", "traced") if args.trace else ("plain",)
     start = time.monotonic()
     reports: List[Dict[str, Any]] = []
@@ -89,7 +93,7 @@ def run_rounds(args) -> List[Dict[str, Any]]:
         if durations:
             estimate = statistics.median(durations)
             enough = index >= (1 if args.trace else MIN_ROUNDS)
-            if enough and elapsed + estimate > args.seconds:
+            if enough and elapsed + estimate / 2 > args.seconds:
                 break
             if elapsed + 2 * estimate > RUN_LIMIT_S:
                 break
@@ -148,7 +152,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=55.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 

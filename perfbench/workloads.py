@@ -2,7 +2,7 @@
 
 A round runs in a fresh interpreter started by ``run.py``::
 
-    python3 perfbench/workloads.py --workload incast16 --seed 1 --round 0 --mode plain
+    python3 perfbench/workloads.py --workload incast_figs --seed 1 --round 0 --mode plain
 
 and prints one JSON object as its last stdout line.  ``--mode plain`` times
 the round with every instrumentation global off; ``--mode traced`` installs
@@ -44,8 +44,8 @@ INCAST_PAIRS = (("hpcc", "hpcc-vai-sf"), ("swift", "swift-vai-sf"))
 #: The fig-1 baselines: HPCC and Swift with their 1 Gbps-AI and probabilistic variants.
 FIG1_VARIANTS = ("hpcc", "hpcc-1gbps", "hpcc-prob", "swift", "swift-1gbps", "swift-prob")
 
-#: Fat-tree trace shape shared by ``fattree_hadoop`` and ``fluid_hadoop``: a
-#: round simulates TRACES_PER_ROUND independent short traces of one seed each.
+#: Fat-tree trace shape of ``hadoop_both``: a round simulates TRACES_PER_ROUND
+#: independent short traces of one seed each, on each backend.
 TRACE_DURATION_NS = 250_000.0
 TRACES_PER_ROUND = 20
 LOAD = 0.5
@@ -167,10 +167,12 @@ def trace_seeds(seed: int, round_index: int) -> List[int]:
     raise RuntimeError(f"no trace set within {ROUND_BYTES_TOLERANCE:.0%} of nominal load")
 
 
-def datacenter_configs(seed: int, round_index: int, backend: str) -> list:
+def datacenter_configs(seed: int, round_index: int, backends: Tuple[str, ...]) -> list:
+    """The round's traces on each backend in turn (all of the first, then the next)."""
     from repro.experiments.config import DatacenterConfig
     from repro.topology.fattree import FatTreeParams
 
+    seeds = trace_seeds(seed, round_index)
     return [
         DatacenterConfig(
             variant="hpcc-vai-sf",
@@ -182,7 +184,8 @@ def datacenter_configs(seed: int, round_index: int, backend: str) -> list:
             seed=s,
             backend=backend,
         )
-        for s in trace_seeds(seed, round_index)
+        for backend in backends
+        for s in seeds
     ]
 
 
@@ -250,13 +253,14 @@ class Incast16(Workload):
         return problems
 
 
-class FatTreeHadoop(Workload):
-    """Scaled fat-tree, Hadoop CDF x0.1 at 50% load, HPCC-VAI-SF."""
+class HadoopBoth(Workload):
+    """Scaled fat-tree, Hadoop CDF x0.1 at 50% load, HPCC-VAI-SF: the same
+    traces on the packet backend, then on the flow-level (fluid) backend."""
 
-    backend = "packet"
+    modules = ("repro.experiments.flowsim",)
 
     def configs(self, seed: int, round_index: int) -> list:
-        return datacenter_configs(seed, round_index, self.backend)
+        return datacenter_configs(seed, round_index, ("packet", "flow"))
 
     def run(self, cfgs, tracer) -> Outcome:
         from repro.experiments.runner import run_datacenter
@@ -269,11 +273,11 @@ class FatTreeHadoop(Workload):
             if res is None:
                 problems.append([])
                 continue
-            label = f"trace seed {cfg.seed}"
+            label = f"trace seed {cfg.seed} ({cfg.backend})"
             p = []
             if res.n_offered == 0 or res.n_completed != res.n_offered or len(res.records) != res.n_offered:
                 p.append(f"{label}: {res.n_completed}/{res.n_offered} flows completed")
-            if self.backend == "packet":
+            if cfg.backend == "packet":
                 if res.drops != 0:
                     p.append(f"{label}: {res.drops} drops on the lossless fabric")
                 # Shortest host pair path: host -> ToR -> host, two links.
@@ -289,13 +293,6 @@ class FatTreeHadoop(Workload):
             )
             problems.append(p)
         return problems
-
-
-class FluidHadoop(FatTreeHadoop):
-    """The same traces on the flow-level (fluid) backend."""
-
-    backend = "flow"
-    modules = ("repro.experiments.flowsim",)
 
 
 class CampaignFig1(Workload):
@@ -408,11 +405,54 @@ class CampaignFig1(Workload):
         return problems
 
 
+class IncastFigs(Workload):
+    """The paper's 16-1 incast figures: the figs. 8/9 pairs one after another
+    in this process, then the six fig-1 baselines through run_campaign."""
+
+    modules = CampaignFig1.modules
+
+    def __init__(self) -> None:
+        self.parts = (Incast16(), CampaignFig1())
+        self.sizes: List[int] = []
+        self.outcomes: List[Outcome] = []
+
+    def split(self, items: list) -> List[list]:
+        """``items`` (one per config) cut into the parts' shares."""
+        out, start = [], 0
+        for n in self.sizes:
+            out.append(items[start : start + n])
+            start += n
+        return out
+
+    def configs(self, seed: int, round_index: int) -> list:
+        per_part = [part.configs(seed, round_index) for part in self.parts]
+        self.sizes = [len(c) for c in per_part]
+        return [cfg for c in per_part for cfg in c]
+
+    def run(self, cfgs, tracer) -> Outcome:
+        self.outcomes = [part.run(c, tracer) for part, c in zip(self.parts, self.split(cfgs))]
+        whole = Outcome()
+        for o in self.outcomes:
+            whole.results += o.results
+            whole.errors += o.errors
+            whole.extra.update(o.extra)
+        return whole
+
+    def check(self, cfgs, out: Outcome) -> List[List[str]]:
+        problems: List[List[str]] = []
+        for part, c, o in zip(self.parts, self.split(cfgs), self.outcomes):
+            problems += part.check(c, o)
+            out.extra.update(o.extra)  # the campaign's check measures store.bytes
+        return problems
+
+    def close(self) -> None:
+        for part in self.parts:
+            part.close()
+
+
 WORKLOADS = {
-    "incast16": Incast16,
-    "fattree_hadoop": FatTreeHadoop,
-    "fluid_hadoop": FluidHadoop,
-    "campaign_fig1": CampaignFig1,
+    "incast_figs": IncastFigs,
+    "hadoop_both": HadoopBoth,
 }
 
 
@@ -441,6 +481,12 @@ def layer_metrics(tracer: tracing.Tracer, reg, out: Outcome, cfgs, import_s: flo
     counters = reg.snapshot()["counters"]
     gauges = reg.snapshot()["gauges"]
     simulate_s = tracer.category_s("simulate")
+    # The packet engine's own share: hadoop_both also runs fluid simulations.
+    packet_s = sum(
+        end - start
+        for _, _, _, name, _, start, end in tracer.spans
+        if name.endswith("run_until_flows_complete")
+    )
     events = counters.get("engine.events_executed", 0)
     m: Dict[str, float] = {
         "import.s": import_s,
@@ -452,7 +498,7 @@ def layer_metrics(tracer: tracing.Tracer, reg, out: Outcome, cfgs, import_s: flo
         m[f"{name}.self_s"] = tracer.self_s[name]
     m["sampler.samples"] = tracer.samples
     m["engine.events"] = events
-    m["engine.ns_per_event"] = simulate_s * 1e9 / events if events else 0.0
+    m["engine.ns_per_event"] = packet_s * 1e9 / events if events else 0.0
     m["engine.events_scheduled"] = counters.get("engine.events_scheduled", 0)
     m["engine.events_cancelled"] = counters.get("engine.events_cancelled", 0)
     m["engine.heap_peak"] = gauges.get("engine.heap_peak", 0)
